@@ -7,6 +7,7 @@ import (
 
 	"github.com/quadkdv/quad/internal/geom"
 	"github.com/quadkdv/quad/internal/kdtree"
+	"github.com/quadkdv/quad/internal/kdtree/flat"
 	"github.com/quadkdv/quad/internal/kernel"
 )
 
@@ -34,7 +35,7 @@ func FuzzEvaluatorBounds(f *testing.F) {
 			coords[i] = 10 * rng.NormFloat64()
 		}
 		pts := geom.NewPoints(coords, 2)
-		tree, err := kdtree.Build(pts, kdtree.Options{Gram: true})
+		tree, err := flat.Build(pts, kdtree.Options{Gram: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,13 +52,13 @@ func FuzzEvaluatorBounds(f *testing.F) {
 				t.Fatal(err)
 			}
 			ev.SetBallTightening(ball)
-			tree.Walk(func(nd *kdtree.Node) bool {
-				lb, ub := ev.Bounds(nd, q)
-				exact := ev.ExactNode(tree, nd, q)
+			tree.Walk(func(id int32) bool {
+				lb, ub := ev.FlatBounds(tree, id, q)
+				exact := ev.FlatExactNode(tree, id, q)
 				tol := 1e-9*(math.Abs(exact)+math.Abs(lb)+math.Abs(ub)) + 1e-300
 				if lb > exact+tol || exact > ub+tol {
 					t.Fatalf("%s/%s node [%d,%d): bounds [%.17g,%.17g] miss exact %.17g (γ=%g q=%v)",
-						kern, m, nd.Start, nd.End, lb, ub, exact, gamma, q)
+						kern, m, tree.Start[id], tree.End[id], lb, ub, exact, gamma, q)
 				}
 				return true
 			})
@@ -65,7 +66,7 @@ func FuzzEvaluatorBounds(f *testing.F) {
 	})
 }
 
-// FuzzRectBounds: the tile-uniform RectBounds must bracket the exact node
+// FuzzRectBounds: the tile-uniform FlatRectBounds must bracket the exact node
 // sum for every query inside the rectangle.
 func FuzzRectBounds(f *testing.F) {
 	f.Add(int64(2), uint8(40), uint8(0), 0.5, -1.0, -1.0, 3.0, 4.0)
@@ -87,7 +88,7 @@ func FuzzRectBounds(f *testing.F) {
 		for i := range coords {
 			coords[i] = 10 * rng.NormFloat64()
 		}
-		tree, err := kdtree.Build(geom.NewPoints(coords, 2), kdtree.Options{Gram: true})
+		tree, err := flat.Build(geom.NewPoints(coords, 2), kdtree.Options{Gram: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,17 +101,17 @@ func FuzzRectBounds(f *testing.F) {
 			t.Fatal(err)
 		}
 		q := make([]float64, 2)
-		tree.Walk(func(nd *kdtree.Node) bool {
-			lb, ub := ev.RectBounds(nd, rect)
+		tree.Walk(func(id int32) bool {
+			lb, ub := ev.FlatRectBounds(tree, id, rect)
 			for i := 0; i < 8; i++ {
 				for j := range q {
 					q[j] = rect.Min[j] + rng.Float64()*(rect.Max[j]-rect.Min[j])
 				}
-				exact := ev.ExactNode(tree, nd, q)
+				exact := ev.FlatExactNode(tree, id, q)
 				tol := 1e-9*(math.Abs(exact)+math.Abs(lb)+math.Abs(ub)) + 1e-300
 				if lb > exact+tol || exact > ub+tol {
 					t.Fatalf("%s node [%d,%d): rect bounds [%.17g,%.17g] miss exact %.17g at q=%v",
-						kern, nd.Start, nd.End, lb, ub, exact, q)
+						kern, tree.Start[id], tree.End[id], lb, ub, exact, q)
 				}
 			}
 			return true

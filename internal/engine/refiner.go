@@ -1,31 +1,33 @@
 package engine
 
+import "github.com/quadkdv/quad/internal/kdtree/flat"
+
 // Refiner exposes the Table 3 refinement loop one step at a time, so callers
 // can interleave the refinement of several aggregates and stop on conditions
 // the engine doesn't know about — the mechanism behind kernel density
 // classification (racing per-class density bounds) and any anytime use of
 // the bounds.
 //
-// A Refiner borrows its Engine exclusively until the caller is done with it;
-// the Engine's own Eval* methods must not be used concurrently. Use
-// Engine.Clone to refine several queries at once.
+// A Refiner borrows its FlatEngine's tree and evaluator until the caller is
+// done with it; the engine's own Eval* methods must not be used
+// concurrently. Use FlatEngine.Clone to refine several queries at once.
 type Refiner struct {
-	e *Engine
+	e *FlatEngine
 	q []float64
 
 	exactAcc       float64
 	lbPend, ubPend float64
 	st             Stats
-	heap           []item
+	heap           fheap
 }
 
 // StartRefine begins refining F_P(q)'s bounds. The returned Refiner starts
 // with the root bounds already evaluated.
-func (e *Engine) StartRefine(q []float64) *Refiner {
+func (e *FlatEngine) StartRefine(q []float64) *Refiner {
 	r := &Refiner{e: e, q: q}
-	lb, ub := e.Ev.Bounds(e.Tree.Root, q)
+	lb, ub := e.Ev.FlatBounds(e.Tree, 0, q)
 	r.st.NodesEvaluated++
-	r.push(item{node: e.Tree.Root, lb: lb, ub: ub})
+	r.heap.push(fitem{id: 0, seed: -1, lb: lb, ub: ub})
 	r.lbPend, r.ubPend = lb, ub
 	return r
 }
@@ -38,7 +40,7 @@ func (r *Refiner) Bounds() (lb, ub float64) {
 	if r.lbPend < 0 || r.ubPend < 0 {
 		r.recompute()
 	}
-	lb, ub = r.exactAcc+r.lbPend, r.exactAcc+r.ubPend
+	lb, ub = r.rawBounds()
 	if lb < 0 {
 		lb = 0
 	}
@@ -67,30 +69,32 @@ func (r *Refiner) Step() bool {
 	if len(r.heap) == 0 {
 		return false
 	}
+	t, ev := r.e.Tree, r.e.Ev
 	r.st.Iterations++
-	it := r.pop()
-	n := it.node
-	if n.IsLeaf() {
-		r.exactAcc += r.e.Ev.ExactNode(r.e.Tree, n, r.q)
+	it := r.heap.pop()
+	id := it.id
+	if left := t.Left[id]; left == flat.NoChild {
+		r.exactAcc += ev.FlatExactNode(t, id, r.q)
 		r.st.LeafScans++
-		r.st.PointsScanned += n.Size()
+		r.st.PointsScanned += t.Size(id)
 		r.lbPend -= it.lb
 		r.ubPend -= it.ub
 	} else {
-		llb, lub := r.e.Ev.Bounds(n.Left, r.q)
-		rlb, rub := r.e.Ev.Bounds(n.Right, r.q)
+		right := t.Right[id]
+		llb, lub := ev.FlatBounds(t, left, r.q)
+		rlb, rub := ev.FlatBounds(t, right, r.q)
 		r.st.NodesEvaluated += 2
 		r.lbPend += llb + rlb - it.lb
 		r.ubPend += lub + rub - it.ub
-		r.push(item{node: n.Left, lb: llb, ub: lub})
-		r.push(item{node: n.Right, lb: rlb, ub: rub})
+		r.heap.push(fitem{id: left, seed: -1, lb: llb, ub: lub})
+		r.heap.push(fitem{id: right, seed: -1, lb: rlb, ub: rub})
 	}
 	return len(r.heap) > 0
 }
 
 // RefineUntil steps until cond(lb, ub) holds or the bounds are exact, and
 // returns the final bounds. The condition is re-verified on drift-free
-// recomputed pending sums before it is trusted (see Engine.refine).
+// recomputed pending sums before it is trusted (see FlatEngine.refine).
 func (r *Refiner) RefineUntil(cond func(lb, ub float64) bool) (lb, ub float64) {
 	for {
 		if r.lbPend < 0 || r.ubPend < 0 || cond(r.rawBounds()) {
@@ -109,51 +113,35 @@ func (r *Refiner) rawBounds() (float64, float64) {
 	return r.exactAcc + r.lbPend, r.exactAcc + r.ubPend
 }
 
-func (r *Refiner) recompute() {
-	r.lbPend, r.ubPend = 0, 0
-	for _, it := range r.heap {
-		r.lbPend += it.lb
-		r.ubPend += it.ub
-	}
+func (r *Refiner) recompute() { r.lbPend, r.ubPend = r.heap.sums() }
+
+// TracePoint records the aggregate bounds after one refinement iteration —
+// the instrumentation behind the paper's Figure 18.
+type TracePoint struct {
+	Iteration int
+	LB, UB    float64
 }
 
-// --- Refiner-local heap (same max-gap ordering as the engine's). ---
-
-func (r *Refiner) push(it item) {
-	r.heap = append(r.heap, it)
-	i := len(r.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if gap(r.heap[parent]) >= gap(r.heap[i]) {
-			break
+// BoundTrace runs an εKDV query recording (lb, ub) after every iteration,
+// including iteration 0 (root bounds). It stops at the εKDV termination
+// condition and returns the trace.
+func (e *FlatEngine) BoundTrace(q []float64, eps float64) []TracePoint {
+	done := func(lb, ub float64) bool { return ub <= (1+eps)*lb }
+	r := e.StartRefine(q)
+	trace := []TracePoint{{Iteration: 0, LB: r.lbPend, UB: r.ubPend}}
+	for iter := 1; len(r.heap) > 0; iter++ {
+		if r.lbPend < 0 || r.ubPend < 0 || done(r.rawBounds()) {
+			r.recompute()
+			if done(r.rawBounds()) {
+				break
+			}
 		}
-		r.heap[parent], r.heap[i] = r.heap[i], r.heap[parent]
-		i = parent
+		r.Step()
+		if r.lbPend < 0 || r.ubPend < 0 {
+			r.recompute()
+		}
+		lb, ub := r.rawBounds()
+		trace = append(trace, TracePoint{Iteration: iter, LB: lb, UB: ub})
 	}
-}
-
-func (r *Refiner) pop() item {
-	h := r.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	r.heap = h[:last]
-	h = r.heap
-	i := 0
-	for {
-		l, rc := 2*i+1, 2*i+2
-		big := i
-		if l < len(h) && gap(h[l]) > gap(h[big]) {
-			big = l
-		}
-		if rc < len(h) && gap(h[rc]) > gap(h[big]) {
-			big = rc
-		}
-		if big == i {
-			break
-		}
-		h[i], h[big] = h[big], h[i]
-		i = big
-	}
-	return top
+	return trace
 }

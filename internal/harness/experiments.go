@@ -14,6 +14,7 @@ import (
 	"github.com/quadkdv/quad/internal/engine"
 	"github.com/quadkdv/quad/internal/geom"
 	"github.com/quadkdv/quad/internal/kdtree"
+	"github.com/quadkdv/quad/internal/kdtree/flat"
 	"github.com/quadkdv/quad/internal/kernel"
 	"github.com/quadkdv/quad/internal/pca"
 	"github.com/quadkdv/quad/internal/stats"
@@ -321,7 +322,7 @@ func RunFig18(c *Config) error {
 		return err
 	}
 	bw := stats.ScottsRule(d.Pts, kernel.Gaussian)
-	tree, err := kdtree.Build(d.Pts.Clone(), kdtree.Options{Gram: true})
+	tree, err := flat.Build(d.Pts.Clone(), kdtree.Options{Gram: true})
 	if err != nil {
 		return err
 	}
@@ -330,7 +331,7 @@ func RunFig18(c *Config) error {
 		if err != nil {
 			return nil, err
 		}
-		e, err := engine.New(tree, ev)
+		e, err := engine.NewFlat(tree, ev)
 		if err != nil {
 			return nil, err
 		}
@@ -714,7 +715,7 @@ func RunTightness(c *Config) error {
 		return err
 	}
 	bw := stats.ScottsRule(d.Pts, kernel.Gaussian)
-	tree, err := kdtree.Build(d.Pts.Clone(), kdtree.Options{Gram: true})
+	tree, err := flat.Build(d.Pts.Clone(), kdtree.Options{Gram: true})
 	if err != nil {
 		return err
 	}
@@ -734,12 +735,13 @@ func RunTightness(c *Config) error {
 		var gaps []float64
 		for i := 0; i < qs.Len(); i++ {
 			q := qs.At(i)
-			tree.Walk(func(n *kdtree.Node) bool {
-				if n.Size() >= 64 && n.Size() <= 1024 {
-					lb, ub := ev.Bounds(n, q)
-					gaps = append(gaps, (ub-lb)/(bw.Weight*n.SumW))
+			tree.Walk(func(id int32) bool {
+				size := tree.Size(id)
+				if size >= 64 && size <= 1024 {
+					lb, ub := ev.FlatBounds(tree, id, q)
+					gaps = append(gaps, (ub-lb)/(bw.Weight*tree.SumW[id]))
 				}
-				return n.Size() > 64
+				return size > 64
 			})
 		}
 		sort.Float64s(gaps)
@@ -749,7 +751,7 @@ func RunTightness(c *Config) error {
 		}
 		mean /= float64(len(gaps))
 
-		eng, err := engine.New(tree, ev)
+		eng, err := engine.NewFlat(tree, ev)
 		if err != nil {
 			return err
 		}

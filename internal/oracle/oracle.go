@@ -21,7 +21,6 @@ import (
 
 	"github.com/quadkdv/quad/internal/geom"
 	"github.com/quadkdv/quad/internal/grid"
-	"github.com/quadkdv/quad/internal/kdtree"
 	"github.com/quadkdv/quad/internal/kernel"
 )
 
@@ -96,12 +95,13 @@ func (o *Oracle) Density(q []float64) float64 {
 	return o.rangeDensity(o.Pts, o.Weights, 0, o.Pts.Len(), q)
 }
 
-// NodeDensity returns the exact partial sum F_R(q) of one kd-tree node — the
+// NodeDensity returns the exact partial sum F_R(q) over the point range
+// [start, end) of pts — one kd-tree node's share of the density, the
 // quantity every bound method's [LB_R(q), UB_R(q)] interval must bracket.
-// The tree's (reordered) points and per-point weights are used, so the value
-// is comparable with bounds computed against the same tree.
-func (o *Oracle) NodeDensity(t *kdtree.Tree, n *kdtree.Node, q []float64) float64 {
-	return o.rangeDensity(t.Pts, t.Weights, n.Start, n.End, q)
+// Pass the tree's (reordered) points and per-point weights, so the value is
+// comparable with bounds computed against the same tree.
+func (o *Oracle) NodeDensity(pts geom.Points, weights []float64, start, end int, q []float64) float64 {
+	return o.rangeDensity(pts, weights, start, end, q)
 }
 
 func (o *Oracle) rangeDensity(pts geom.Points, weights []float64, start, end int, q []float64) float64 {

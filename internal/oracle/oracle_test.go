@@ -112,14 +112,14 @@ func TestNodeDensityPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := []float64{25, 12}
-	root := o.NodeDensity(tree, tree.Root, q)
+	root := o.NodeDensity(tree.Pts, tree.Weights, tree.Root.Start, tree.Root.End, q)
 	if whole := o.Density(q); math.Abs(root-whole) > 1e-13*(1+whole) {
 		t.Errorf("root partial %.17g != full density %.17g", root, whole)
 	}
 	var leafSum Sum
 	tree.Walk(func(n *kdtree.Node) bool {
 		if n.IsLeaf() {
-			leafSum.Add(o.NodeDensity(tree, n, q))
+			leafSum.Add(o.NodeDensity(tree.Pts, tree.Weights, n.Start, n.End, q))
 		}
 		return true
 	})
