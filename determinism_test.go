@@ -159,3 +159,45 @@ func TestTileSizeDeterminismContract(t *testing.T) {
 		}
 	}
 }
+
+// TestFlatRenderWorkersDeterminism pins the engine's scheduling
+// independence: the same scene rendered with 1, 3, and 8 workers is
+// bit-identical, both εKDV values and τKDV masks.
+func TestFlatRenderWorkersDeterminism(t *testing.T) {
+	pts := dataset.Crime(6000, 7)
+	res := quad.Resolution{W: 64, H: 48}
+	const eps = 0.05
+	build := func(workers int) *quad.KDV {
+		k, err := quad.New(pts.Coords, 2, quad.WithTileSize(16), quad.WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	base, err := build(1).RenderEps(res, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseHot, err := build(1).RenderTau(res, 0.001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{3, 8} {
+		dm, err := build(w).RenderEps(res, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i, ok := sameBits(base.Values, dm.Values); !ok {
+			t.Fatalf("workers=%d differs from workers=1 at pixel %d", w, i)
+		}
+		hm, err := build(w).RenderTau(res, 0.001)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range baseHot.Hot {
+			if baseHot.Hot[i] != hm.Hot[i] {
+				t.Fatalf("workers=%d mask differs from workers=1 at pixel %d", w, i)
+			}
+		}
+	}
+}

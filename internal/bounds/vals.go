@@ -6,16 +6,12 @@ import (
 	"github.com/quadkdv/quad/internal/kernel"
 )
 
-// This file holds the representation-independent scalar cores of every bound
-// family: each takes the node's aggregate statistics as plain float64s (or
-// slices of them) and is shared verbatim by the pointer-tree methods in
-// bounds.go and the flat-tree methods in flat.go. Keeping exactly one copy of
-// each formula is what makes the two engines bit-identical by construction —
-// the representations may only differ in how they fetch the statistics, never
-// in how they combine them.
+// This file holds the scalar cores of every bound family: each takes the
+// node's aggregate statistics as plain float64s (or slices of them), so the
+// node front end in flat.go only fetches statistics and never combines them.
 
 // clampVals floors lb at 0, caps ub at w·|P|·K(0), and repairs any floating-
-// point inversion by widening to the safe side (see Evaluator.clamp).
+// point inversion (lb marginally above ub) by widening to the safe side.
 func (e *Evaluator) clampVals(sumW, lb, ub float64) (float64, float64) {
 	cap := e.Weight * sumW * e.Kern.ProfileMax()
 	if lb < 0 {
@@ -137,9 +133,14 @@ func (e *Evaluator) quadQuarticVals(sumW, sumX2, sumX4, xmin, xmax float64) (lb,
 	return lb, ub
 }
 
-// rectLinearGaussianVals is the tile-uniform KARL tightening (see
-// Evaluator.rectLinearGaussian) given the exact rect-range [s2lo, s2hi] of
-// Σ w·dist².
+// rectLinearGaussianVals evaluates the KARL envelopes tile-uniformly, given
+// the exact rect-range [s2lo, s2hi] of Σ w·dist². Every x_i(q) =
+// γ·dist(q, p_i)² stays inside [xmin, xmax] for q in the rect, so the
+// chord/tangent envelopes hold pointwise; their aggregates are linear in
+// sumX(q) = γ·Σ w·dist²(q). Both envelope slopes are ≤ 0 (the profile
+// decreases), so the upper bound is worst at the low end of the range and
+// the lower bound at the high end; the tangent sits at the worst case's
+// mean so the lower envelope is tight exactly where it binds.
 func (e *Evaluator) rectLinearGaussianVals(sumW, s2lo, s2hi, xmin, xmax float64) (lb, ub float64) {
 	sxLo, sxHi := e.Gamma*s2lo, e.Gamma*s2hi
 	up := kernel.ExpChordUpper(xmin, xmax)

@@ -1,6 +1,6 @@
 // Package flat is the contiguous struct-of-arrays (SoA) representation of
-// the kdtree package's pointer tree — the render engine's production memory
-// layout. The pointer tree allocates every node and each of its five moment
+// the kdtree package's pointer tree — the memory layout the bound engine
+// runs on. The pointer tree allocates every node and each of its five moment
 // slices separately, so the refinement hot loop (millions of node visits per
 // raster) is bound by cache misses chasing node pointers and slice headers.
 // The flat tree stores the same nodes as parallel arrays indexed by an int32
@@ -20,12 +20,13 @@
 // the deeper vEB recursion buys nothing here and BFS keeps ids monotone in
 // depth, which the structural invariants below exploit.)
 //
-// Correctness contract: every query-time method mirrors its pointer-tree
-// counterpart operation for operation — loops are unrolled for d == 2 but
-// never reassociated — so bound engines running on either representation
-// produce bit-identical rasters. The conversion copies node statistics
-// verbatim (0 ULP), which the FuzzFlatTreeInvariants target and the
-// conformance flat-vs-pointer differential pass enforce.
+// Correctness contract: the conversion copies node statistics verbatim
+// (0 ULP), and every query-time method computes the same quantity as its
+// kdtree.Node counterpart operation for operation — loops are unrolled for
+// d == 2 but never reassociated. The FuzzFlatTreeInvariants target enforces
+// both against the pointer tree, and the engine golden digests
+// (TestEngineGoldenDigests in the root package) pin every raster the engine
+// renders from this layout.
 package flat
 
 import (
