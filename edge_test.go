@@ -1,6 +1,7 @@
 package quad_test
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -152,6 +153,58 @@ func TestQueryArgumentErrors(t *testing.T) {
 			t.Errorf("DensityBounds on %s returned no error; the method has no bound function", m)
 		} else if !strings.Contains(err.Error(), m.String()) {
 			t.Errorf("DensityBounds error %q does not name the method", err)
+		}
+	}
+}
+
+// TestRenderRejectsNonFiniteParams: a NaN or infinite ε, τ or window
+// coordinate honours no guarantee, so every render entry point must reject
+// it with an error instead of returning NaN pixels or refining every pixel
+// to the bottom of the tree.
+func TestRenderRejectsNonFiniteParams(t *testing.T) {
+	pts := dataset.Crime(500, 3)
+	k, err := quad.New(pts.Coords, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := quad.Resolution{W: 8, H: 6}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, eps := range []float64{nan, inf, -inf} {
+		if _, err := k.RenderEps(res, eps); err == nil {
+			t.Errorf("RenderEps(ε=%g) accepted", eps)
+		}
+		if _, err := k.RenderProgressive(res, eps, 0, 0); err == nil {
+			t.Errorf("RenderProgressive(ε=%g) accepted", eps)
+		}
+		if _, err := k.RenderProgressiveStream(res, eps, 0, func(quad.Snapshot) bool { return true }); err == nil {
+			t.Errorf("RenderProgressiveStream(ε=%g) accepted", eps)
+		}
+		if _, err := k.RenderEpsSubInCtx(context.Background(), res, eps, quad.Window{}, quad.PixelRect{X0: 0, Y0: 0, X1: 4, Y1: 3}); err == nil {
+			t.Errorf("RenderEpsSubInCtx(ε=%g) accepted", eps)
+		}
+	}
+	for _, tau := range []float64{nan, inf, -inf} {
+		if _, err := k.RenderTau(res, tau); err == nil {
+			t.Errorf("RenderTau(τ=%g) accepted", tau)
+		}
+	}
+	for _, w := range []quad.Window{
+		{MinX: nan, MinY: 0, MaxX: 10, MaxY: 10},
+		{MinX: 0, MinY: nan, MaxX: 10, MaxY: 10},
+		{MinX: 0, MinY: 0, MaxX: nan, MaxY: 10},
+		{MinX: 0, MinY: 0, MaxX: 10, MaxY: nan},
+		{MinX: -inf, MinY: 0, MaxX: 10, MaxY: 10},
+		{MinX: 0, MinY: 0, MaxX: inf, MaxY: 10},
+		{MinX: -math.MaxFloat64, MinY: 0, MaxX: math.MaxFloat64, MaxY: 10}, // span overflows
+	} {
+		if _, err := k.RenderEpsIn(res, 0.05, w); err == nil {
+			t.Errorf("RenderEpsIn(%+v) accepted", w)
+		}
+		if _, err := k.RenderTauIn(res, 0.001, w); err == nil {
+			t.Errorf("RenderTauIn(%+v) accepted", w)
+		}
+		if _, err := k.RenderProgressiveIn(res, 0.05, 0, 0, w); err == nil {
+			t.Errorf("RenderProgressiveIn(%+v) accepted", w)
 		}
 	}
 }

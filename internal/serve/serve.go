@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -496,7 +497,7 @@ func (s *Server) parseParamsNamed(name string, q url.Values) (*renderParams, err
 	eps := 0.01
 	if v := q.Get("eps"); v != "" {
 		eps, err = strconv.ParseFloat(v, 64)
-		if err != nil || eps < 0 || eps > 1 {
+		if err != nil || !(eps >= 0 && eps <= 1) {
 			return nil, fmt.Errorf("bad eps %q (0..1)", v)
 		}
 	}
@@ -509,13 +510,14 @@ func (s *Server) parseParamsNamed(name string, q url.Values) (*renderParams, err
 		}
 		vals := make([]float64, 4)
 		for i, p := range parts {
-			vals[i], err = strconv.ParseFloat(strings.TrimSpace(p), 64)
+			vals[i], err = parseFinite(strings.TrimSpace(p))
 			if err != nil {
 				return nil, fmt.Errorf("bad bbox %q", v)
 			}
 		}
 		window = quad.Window{MinX: vals[0], MinY: vals[1], MaxX: vals[2], MaxY: vals[3]}
-		if window.MaxX <= window.MinX || window.MaxY <= window.MinY {
+		if window.MaxX <= window.MinX || window.MaxY <= window.MinY ||
+			math.IsInf(window.MaxX-window.MinX, 0) || math.IsInf(window.MaxY-window.MinY, 0) {
 			return nil, fmt.Errorf("degenerate bbox %q", v)
 		}
 	}
@@ -747,21 +749,35 @@ func (s *Server) handleHotspots(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// parseFinite parses a float and rejects NaN and ±Inf, which strconv
+// accepts but no render parameter can honour.
+func parseFinite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("non-finite value %q", s)
+	}
+	return v, nil
+}
+
 // resolveTau parses "mu", "mu+0.2", "mu-0.1" or a literal number.
 func (s *Server) resolveTau(ctx context.Context, req *request, spec string) (float64, error) {
 	spec = strings.TrimSpace(strings.ToLower(spec))
 	if spec == "" {
 		spec = "mu"
 	}
-	if v, err := strconv.ParseFloat(spec, 64); err == nil {
-		return v, nil
-	}
 	if !strings.HasPrefix(spec, "mu") {
-		return 0, fmt.Errorf("bad tau %q (number, 'mu', or 'mu±k')", spec)
+		v, err := parseFinite(spec)
+		if err != nil {
+			return 0, fmt.Errorf("bad tau %q (number, 'mu', or 'mu±k')", spec)
+		}
+		return v, nil
 	}
 	mult := 0.0
 	if rest := spec[2:]; rest != "" {
-		v, err := strconv.ParseFloat(rest, 64)
+		v, err := parseFinite(rest)
 		if err != nil {
 			return 0, fmt.Errorf("bad tau %q", spec)
 		}

@@ -69,11 +69,17 @@ func TestRenderParamValidation(t *testing.T) {
 		"/render?dataset=crime&res=banana",         // bad res
 		"/render?dataset=crime&res=999999x999999",  // too big
 		"/render?dataset=crime&eps=7",              // bad eps
+		"/render?dataset=crime&eps=NaN",            // NaN eps
+		"/render?dataset=crime&eps=Inf",            // infinite eps
 		"/render?dataset=crime&kernel=nope",        // bad kernel
 		"/render?dataset=crime&method=nope",        // bad method
 		"/render?dataset=crime&n=0",                // bad n
 		"/render?dataset=crime&seed=abc",           // bad seed
 		"/hotspots?dataset=crime&tau=banana",       // bad tau
+		"/hotspots?dataset=crime&tau=nan",          // NaN tau
+		"/hotspots?dataset=crime&tau=inf",          // infinite tau
+		"/hotspots?dataset=crime&tau=mu%2Bnan",     // NaN tau multiple
+		"/hotspots?dataset=crime&tau=mu-inf",       // infinite tau multiple
 		"/progressive?dataset=crime&budget=banana", // bad budget
 		"/progressive?dataset=crime&budget=5h",     // budget too long
 	}
@@ -163,7 +169,9 @@ func TestRenderBBox(t *testing.T) {
 	if _, err := png.Decode(resp.Body); err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range []string{"bbox=1,2,3", "bbox=a,b,c,d", "bbox=5,5,5,9"} {
+	for _, bad := range []string{"bbox=1,2,3", "bbox=a,b,c,d", "bbox=5,5,5,9",
+		"bbox=NaN,0,40,40", "bbox=0,0,Inf,40", "bbox=-Inf,0,40,40", "bbox=0,0,40,NaN",
+		"bbox=-1e308,0,1e308,40"} {
 		resp := get(t, ts.URL+"/render?dataset=crime&res=16x12&"+bad)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", bad, resp.StatusCode)

@@ -77,8 +77,8 @@ func (k *KDV) RenderEpsSubStatsInCtx(ctx context.Context, full Resolution, eps f
 }
 
 func (k *KDV) renderEpsSubIn(ctx context.Context, full Resolution, eps float64, win Window, sub PixelRect, st *RenderStats) (*DensityMap, error) {
-	if eps < 0 {
-		return nil, fmt.Errorf("quad: negative relative error %g", eps)
+	if err := checkEps(eps); err != nil {
+		return nil, err
 	}
 	if full.W < 1 || full.H < 1 {
 		return nil, fmt.Errorf("quad: non-positive full resolution %dx%d", full.W, full.H)
