@@ -25,10 +25,15 @@ race:
 # verify is the pre-merge gate: compile everything, lint, run the full test
 # suite — which includes the metrics-drift golden-file gate and the
 # Prometheus text-format parse check (internal/serve TestMetricsGolden /
-# TestPrometheusExpositionParses) — then run the guarantee-conformance
-# suite (oracle-differential, bound-dominance, and metamorphic checks) on a
-# small seeded dataset. CI runs this plus the race and fuzz shards.
+# TestPrometheusExpositionParses) — then re-run, uncached, the engine
+# golden-digest gate (TestEngineGoldenDigests: every raster, mask, classifier
+# decision, prediction and bound trace of the conformance matrix must match
+# testdata/engine_digests.golden bit for bit), then run the
+# guarantee-conformance suite (oracle-differential, bound-dominance, and
+# metamorphic checks) on a small seeded dataset. CI runs this plus the race
+# and fuzz shards.
 verify: build vet fmt test
+	$(GO) test . -run '^TestEngineGoldenDigests$$' -count=1
 	$(GO) run ./cmd/kdvcheck -dataset crime -n 1200 -seed 7 -res 32x24 \
 		-json results/kdvcheck.json > /dev/null
 
