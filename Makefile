@@ -28,12 +28,18 @@ race:
 # TestPrometheusExpositionParses) — then re-run, uncached, the engine
 # golden-digest gate (TestEngineGoldenDigests: every raster, mask, classifier
 # decision, prediction and bound trace of the conformance matrix must match
-# testdata/engine_digests.golden bit for bit), then run the
+# testdata/engine_digests.golden bit for bit), then re-run the
+# worker-determinism tests at GOMAXPROCS 1, 2 and 4 (kdvserve and the cluster
+# shard workers render with GOMAXPROCS workers, so this drives the
+# multi-worker serving path even on a 1- or 2-core runner), then run the
 # guarantee-conformance suite (oracle-differential, bound-dominance, and
 # metamorphic checks) on a small seeded dataset. CI runs this plus the race
 # and fuzz shards.
+WORKER_TESTS = Determinis|MultiWorker|OneWorker|CancelHalf|MergeMatchesOracle|BitIdenticalKofN
+
 verify: build vet fmt test
 	$(GO) test . -run '^TestEngineGoldenDigests$$' -count=1
+	$(GO) test . ./internal/serve ./internal/cluster -run '$(WORKER_TESTS)' -cpu 1,2,4 -count=1
 	$(GO) run ./cmd/kdvcheck -dataset crime -n 1200 -seed 7 -res 32x24 \
 		-json results/kdvcheck.json > /dev/null
 

@@ -201,3 +201,32 @@ func TestFlatRenderWorkersDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestThresholdStatsWorkersDeterminism: ThresholdStats spreads its sample
+// rows over the KDV's workers, and μ and σ must be bit-identical for 1, 2
+// and 4 workers — for the bound engine and for a scan-based method.
+func TestThresholdStatsWorkersDeterminism(t *testing.T) {
+	pts := dataset.Crime(6000, 7)
+	res := quad.Resolution{W: 70, H: 53}
+	for _, m := range []quad.Method{quad.MethodQuadratic, quad.MethodExact} {
+		var mu0, sigma0 float64
+		for _, w := range []int{1, 2, 4} {
+			k, err := quad.New(pts.Coords, 2, quad.WithMethod(m), quad.WithWorkers(w))
+			if err != nil {
+				t.Fatal(err)
+			}
+			mu, sigma, err := k.ThresholdStats(res, 3, 0.01)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w == 1 {
+				mu0, sigma0 = mu, sigma
+				continue
+			}
+			if math.Float64bits(mu) != math.Float64bits(mu0) || math.Float64bits(sigma) != math.Float64bits(sigma0) {
+				t.Errorf("%s workers=%d: μ=%x σ=%x, workers=1: μ=%x σ=%x", m, w,
+					math.Float64bits(mu), math.Float64bits(sigma), math.Float64bits(mu0), math.Float64bits(sigma0))
+			}
+		}
+	}
+}

@@ -157,6 +157,44 @@ func TestQueryArgumentErrors(t *testing.T) {
 	}
 }
 
+// TestQueryRejectsNonFiniteParams: the point queries and ThresholdStats
+// reject a NaN or infinite ε or τ like the render entry points do. A NaN ε
+// would otherwise refine the query to an empty heap, and a NaN τ would
+// answer "cold" with a nil error.
+func TestQueryRejectsNonFiniteParams(t *testing.T) {
+	pts := dataset.Crime(500, 3)
+	q := []float64{50, 50}
+	res := quad.Resolution{W: 8, H: 6}
+	ctx := context.Background()
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, m := range []quad.Method{quad.MethodQuadratic, quad.MethodExact, quad.MethodZOrder} {
+		k, err := quad.New(pts.Coords, 2, quad.WithMethod(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []float64{nan, inf, -inf} {
+			if _, err := k.Estimate(q, v); err == nil {
+				t.Errorf("%s: Estimate(ε=%g) accepted", m, v)
+			}
+			if _, err := k.EstimateCtx(ctx, q, v); err == nil {
+				t.Errorf("%s: EstimateCtx(ε=%g) accepted", m, v)
+			}
+			if _, _, err := k.ThresholdStats(res, 2, v); err == nil {
+				t.Errorf("%s: ThresholdStats(ε=%g) accepted", m, v)
+			}
+			if _, _, err := k.ThresholdStatsCtx(ctx, res, 2, v); err == nil {
+				t.Errorf("%s: ThresholdStatsCtx(ε=%g) accepted", m, v)
+			}
+			if _, err := k.IsHot(q, v); err == nil {
+				t.Errorf("%s: IsHot(τ=%g) accepted", m, v)
+			}
+			if _, err := k.IsHotCtx(ctx, q, v); err == nil {
+				t.Errorf("%s: IsHotCtx(τ=%g) accepted", m, v)
+			}
+		}
+	}
+}
+
 // TestRenderRejectsNonFiniteParams: a NaN or infinite ε, τ or window
 // coordinate honours no guarantee, so every render entry point must reject
 // it with an error instead of returning NaN pixels or refining every pixel

@@ -29,6 +29,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -356,7 +357,9 @@ func (w *Worker) handleShardRender(rw http.ResponseWriter, r *http.Request) {
 // buildShardKDV generates the dataset and builds the shard-restricted KDV.
 // quad.WithShard derives the bandwidth, weight normalization, and default
 // render window from the FULL dataset before restricting to the shard's
-// Z-order range, which is what makes per-shard rasters merge exactly.
+// Z-order range, which is what makes per-shard rasters merge exactly. Shard
+// renders spread their tiles over every core; the raster is bit-identical to
+// a one-worker render.
 func (w *Worker) buildShardKDV(p *shardRenderParams) (*quad.KDV, error) {
 	start := time.Now()
 	defer func() { w.buildSec.ObserveDuration(time.Since(start)) }()
@@ -368,7 +371,8 @@ func (w *Worker) buildShardKDV(p *shardRenderParams) (*quad.KDV, error) {
 	return quad.New(pts.Coords, pts.Dim,
 		quad.WithKernel(p.Kernel),
 		quad.WithMethod(p.Method),
-		quad.WithShard(p.Shard.Index, p.Shard.Count))
+		quad.WithShard(p.Shard.Index, p.Shard.Count),
+		quad.WithWorkers(runtime.GOMAXPROCS(0)))
 }
 
 func statusFor(ctx context.Context, err error) int {

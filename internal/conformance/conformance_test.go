@@ -1,10 +1,13 @@
 package conformance
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	quad "github.com/quadkdv/quad"
 	"github.com/quadkdv/quad/internal/dataset"
+	"github.com/quadkdv/quad/internal/kernel"
 )
 
 // TestRunFullSuite is the differential conformance suite of ISSUE 3: every
@@ -62,6 +65,35 @@ func TestRunFullSuite(t *testing.T) {
 	for _, c := range rep.Checks {
 		if strings.Contains(c.Name, "/karl/") && !strings.Contains(c.Name, "gaussian") {
 			t.Errorf("KARL ran on a non-Gaussian kernel: %s", c.Name)
+		}
+	}
+}
+
+// TestRunLeavesPointsUnchanged: Run must not reorder the caller's point
+// buffer. The bound-dominance pass builds its own kd-tree, and a tree build
+// permutes the points it is given in place.
+func TestRunLeavesPointsUnchanged(t *testing.T) {
+	pts := dataset.Crime(300, 7)
+	want := append([]float64(nil), pts.Coords...)
+	rep, err := Run(Config{
+		Name:            "crime",
+		Pts:             pts,
+		Kernels:         []kernel.Kernel{kernel.Gaussian},
+		Methods:         []quad.Method{quad.MethodQuadratic},
+		TileSizes:       []int{4},
+		SkipTiles:       true,
+		SkipMetamorphic: true,
+		SkipSharding:    true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hasCheck(rep, "bounds/sandwich/gaussian/quad") {
+		t.Fatal("bound-dominance pass did not run")
+	}
+	for i, v := range want {
+		if math.Float64bits(pts.Coords[i]) != math.Float64bits(v) {
+			t.Fatalf("Config.Pts.Coords[%d] = %v after Run, want %v", i, pts.Coords[i], v)
 		}
 	}
 }

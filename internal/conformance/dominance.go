@@ -192,7 +192,7 @@ func runDominance(cfg *Config, rep *Report) error {
 	queries := sampleQueries(g, rng)
 	rect, rectQueries := centralRect(g)
 
-	tree, err := flat.Build(cfg.Pts, kdtree.Options{Gram: true})
+	tree, err := flat.Build(cfg.Pts.Clone(), kdtree.Options{Gram: true})
 	if err != nil {
 		return fmt.Errorf("conformance: dominance tree: %w", err)
 	}

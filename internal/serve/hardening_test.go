@@ -249,6 +249,11 @@ func TestProgressiveDeadlineClamped(t *testing.T) {
 	s := NewServerWith(Config{DefaultN: 3000, RequestTimeout: 150 * time.Millisecond})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	// Build the KDV first, so the deadline covers only the progressive
+	// render and not a cold n=20000 build (slow under -race).
+	if _, err := s.kdvFor(context.Background(), "crime", 20000, 1, quad.Gaussian, quad.MethodExact, 0.01); err != nil {
+		t.Fatal(err)
+	}
 
 	resp := get(t, ts.URL+"/progressive?dataset=crime&n=20000&method=exact&res=48x48&budget=30s")
 	if resp.StatusCode != http.StatusOK {

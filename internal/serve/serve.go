@@ -554,8 +554,12 @@ func (s *Server) kdvFor(ctx context.Context, name string, n int, seed int64, ker
 			return nil, err
 		}
 		pts = dataset.First2D(pts)
+		// Every render on this KDV spreads its tiles over all cores; the
+		// output is bit-identical to a one-worker render, and admission
+		// (MaxConcurrent) bounds how many renders share them.
 		return quad.New(pts.Coords, pts.Dim,
-			quad.WithKernel(kern), quad.WithMethod(method), quad.WithZOrderGuarantee(eps, 0.2))
+			quad.WithKernel(kern), quad.WithMethod(method), quad.WithZOrderGuarantee(eps, 0.2),
+			quad.WithWorkers(runtime.GOMAXPROCS(0)))
 	})
 	sp.SetAttrs(trace.Str("key", key), trace.Str("outcome", outcome))
 	sp.End()

@@ -182,9 +182,12 @@ func WithBandwidth(gamma, weight float64) Option {
 // WithLeafSize sets the kd-tree leaf capacity (default 30).
 func WithLeafSize(n int) Option { return func(c *config) { c.leafSize = n } }
 
-// WithWorkers sets the number of goroutines used by the Render* calls.
-// The default 1 matches the paper's single-threaded setting; higher values
-// are the paper's "parallel computation" future-work knob.
+// WithWorkers sets the number of goroutines used by the Render* calls and
+// ThresholdStats. Output is bit-identical for every worker count. The
+// library default 1 matches the paper's single-threaded setting; kdvserve
+// and the cluster shard workers build their KDVs with
+// runtime.GOMAXPROCS(0) workers, the paper's "parallel computation"
+// future-work knob.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithZOrderGuarantee dimensions the MethodZOrder sample for a target

@@ -102,22 +102,31 @@ func (k *KDV) Estimate(q []float64, eps float64) (float64, error) {
 	if err := k.checkQuery(q); err != nil {
 		return 0, err
 	}
-	if eps < 0 {
-		return 0, fmt.Errorf("quad: negative relative error %g", eps)
-	}
-	switch k.cfg.method {
-	case MethodExact:
-		return bounds.ExactScan(k.pts, k.weights, k.cfg.kern.internal(), k.bw.Gamma, k.bw.Weight, q), nil
-	case MethodZOrder:
-		return bounds.ExactScan(k.sample, nil, k.cfg.kern.internal(), k.bw.Gamma, k.sampleWeight, q), nil
-	}
-	e, err := k.acquireEngine()
-	if err != nil {
+	if err := checkEps(eps); err != nil {
 		return 0, err
 	}
-	defer k.releaseEngine(e)
+	var e *engine.FlatTileEngine
+	if k.proto != nil {
+		var err error
+		if e, err = k.acquireEngine(); err != nil {
+			return 0, err
+		}
+		defer k.releaseEngine(e)
+	}
+	return k.estimate(e, q, eps), nil
+}
+
+// estimate is Estimate after validation: e is a checked-out engine for the
+// bound-based methods and nil for the scan-based ones.
+func (k *KDV) estimate(e *engine.FlatTileEngine, q []float64, eps float64) float64 {
+	switch k.cfg.method {
+	case MethodExact:
+		return bounds.ExactScan(k.pts, k.weights, k.cfg.kern.internal(), k.bw.Gamma, k.bw.Weight, q)
+	case MethodZOrder:
+		return bounds.ExactScan(k.sample, nil, k.cfg.kern.internal(), k.bw.Gamma, k.sampleWeight, q)
+	}
 	v, _ := e.EvalEps(q, eps)
-	return v, nil
+	return v
 }
 
 // EstimateCtx is Estimate under a context: an already-cancelled context
@@ -143,6 +152,9 @@ func (k *KDV) IsHotCtx(ctx context.Context, q []float64, tau float64) (bool, err
 // MethodZOrder the density is computed directly and compared.
 func (k *KDV) IsHot(q []float64, tau float64) (bool, error) {
 	if err := k.checkQuery(q); err != nil {
+		return false, err
+	}
+	if err := checkTau(tau); err != nil {
 		return false, err
 	}
 	switch k.cfg.method {

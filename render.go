@@ -340,9 +340,9 @@ func (s *RenderStats) addPromote(st engine.Stats) {
 	}
 }
 
-// sharedStart marks the start of a shared-stage timing window; it costs
-// nothing unless the render is collecting stats.
-func sharedStart(timed bool) time.Time {
+// startClock marks the start of a timing window (a worker's busy time or a
+// shared stage); it costs nothing unless the render is collecting stats.
+func startClock(timed bool) time.Time {
 	if !timed {
 		return time.Time{}
 	}
@@ -370,14 +370,25 @@ func (s *RenderStats) merge(o RenderStats) {
 	s.SharedElapsed += o.SharedElapsed
 }
 
+// statsSink receives a stats render's measurements: the RenderStats handed
+// back to the caller, plus what only the render's trace spans use — the
+// number of tile workers and their busy time summed across workers. The
+// busy time stays out of RenderStats, whose fields other than Elapsed and
+// SharedElapsed repeat exactly between renders of one request.
+type statsSink struct {
+	RenderStats
+	workers int
+	cpu     time.Duration
+}
+
 // emitRenderSpans records post-hoc render-stage spans on the context's
 // trace (no-op when the context carries none), decomposing the render's
 // wall time at the RenderStats stage boundaries: a parent render span, a
-// shared_frontier child and a pixel_refinement child. SharedElapsed is CPU
-// time summed across workers, not wall time, so the shared_frontier child
-// is clamped to the wall window and carries the true CPU sum as cpu_ms.
-// Call after st.Elapsed has been set.
-func emitRenderSpans(ctx context.Context, name string, start time.Time, st RenderStats, err error) {
+// shared_frontier child and a pixel_refinement child. SharedElapsed and the
+// workers' busy time are sums over the workers, not wall time, so the wall
+// window is split in the ratio SharedElapsed : busy−SharedElapsed. Each
+// span's cpu_ms carries its CPU sum. Call after st.Elapsed has been set.
+func emitRenderSpans(ctx context.Context, name string, start time.Time, st *statsSink, err error) {
 	tr := trace.FromContext(ctx)
 	if tr == nil {
 		return
@@ -390,13 +401,15 @@ func emitRenderSpans(ctx context.Context, name string, start time.Time, st Rende
 		trace.Int("node_evals", st.NodesEvaluated),
 		trace.Int("shared_evals", st.SharedNodeEvals),
 		trace.Float64("nodes_per_pixel", st.NodesPerPixel()),
+		trace.Int("workers", st.workers),
+		trace.DurMs("cpu_ms", st.cpu),
 	)
 	if err != nil {
 		sp.SetAttrs(trace.Str("error", err.Error()))
 	}
-	shared := st.SharedElapsed
-	if shared > st.Elapsed {
-		shared = st.Elapsed
+	var shared time.Duration
+	if st.cpu > 0 {
+		shared = time.Duration(float64(st.Elapsed) * min(1, float64(st.SharedElapsed)/float64(st.cpu)))
 	}
 	mid := start.Add(shared)
 	tr.Add("shared_frontier", sp, start, mid,
@@ -417,7 +430,7 @@ type renderPass struct {
 	eps   float64
 	tau   float64
 	isTau bool
-	stats *RenderStats
+	stats *statsSink
 	work  *WorkMap
 }
 
@@ -452,11 +465,15 @@ func (k *KDV) renderValues(ctx context.Context, g *grid.Grid, pass renderPass) (
 		firstErr error
 		statsMu  sync.Mutex
 	)
+	if pass.stats != nil {
+		pass.stats.workers = workers
+	}
 	for wkr := 0; wkr < workers; wkr++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var local RenderStats
+			t0 := startClock(pass.stats != nil)
 			run, cleanup, err := k.newTileRunner(ctx, g, size, pass, &local)
 			if err != nil {
 				errOnce.Do(func() { firstErr = err })
@@ -465,8 +482,10 @@ func (k *KDV) renderValues(ctx context.Context, g *grid.Grid, pass renderPass) (
 			defer func() {
 				cleanup()
 				if pass.stats != nil {
+					busy := time.Since(t0)
 					statsMu.Lock()
 					pass.stats.merge(local)
+					pass.stats.cpu += busy
 					statsMu.Unlock()
 				}
 			}()
@@ -642,7 +661,7 @@ func (k *KDV) newTileRunner(ctx context.Context, g *grid.Grid, size int, pass re
 		rect := s.tileRect(g, t)
 		local.Tiles++
 		if pass.isTau {
-			t0 := sharedStart(timed)
+			t0 := startClock(timed)
 			local.addShared(s.r.BuildFrontierTau(rect, pass.tau, &s.frontier))
 			local.endShared(timed, t0)
 			if s.frontier.Decided {
@@ -651,11 +670,11 @@ func (k *KDV) newTileRunner(ctx context.Context, g *grid.Grid, size int, pass re
 				return
 			}
 		} else if size <= subTileSize {
-			t0 := sharedStart(timed)
+			t0 := startClock(timed)
 			local.addShared(s.r.BuildFrontierEps(rect, pass.eps, &s.frontier))
 			local.endShared(timed, t0)
 		} else {
-			t0 := sharedStart(timed)
+			t0 := startClock(timed)
 			outSt := s.r.BuildFrontierEpsCoarse(rect, pass.eps, &s.frontier)
 			local.endShared(timed, t0)
 			local.addShared(outSt)
@@ -676,7 +695,7 @@ func (k *KDV) newTileRunner(ctx context.Context, g *grid.Grid, size int, pass re
 			}
 			first := tileSpan{t.x0, t.y0, fx1, fy1}
 			srect := s.tileRect(g, first)
-			t0 = sharedStart(timed)
+			t0 = startClock(timed)
 			subSt := s.r.BuildFrontierEpsFrom(&s.frontier, srect, pass.eps, &s.sub)
 			local.endShared(timed, t0)
 			local.addShared(subSt)
@@ -708,7 +727,7 @@ func (k *KDV) newTileRunner(ctx context.Context, g *grid.Grid, size int, pass re
 					}
 					sub := tileSpan{sx, sy, sx1, sy1}
 					srect := s.tileRect(g, sub)
-					t0 := sharedStart(timed)
+					t0 := startClock(timed)
 					local.addShared(s.r.BuildFrontierEpsFrom(&s.frontier, srect, pass.eps, &s.sub))
 					local.endShared(timed, t0)
 					runPixels(sub, &s.sub, vals)
@@ -736,7 +755,7 @@ func (k *KDV) newTileRunner(ctx context.Context, g *grid.Grid, size int, pass re
 				}
 				sub := tileSpan{sx, sy, sx1, sy1}
 				srect := s.tileRect(g, sub)
-				t0 := sharedStart(timed)
+				t0 := startClock(timed)
 				local.addShared(s.r.BuildFrontierTauFrom(&s.frontier, srect, pass.tau, &s.sub))
 				local.endShared(timed, t0)
 				if s.sub.Decided {
@@ -927,15 +946,15 @@ func (k *KDV) RenderEpsStats(res Resolution, eps float64) (*DensityMap, RenderSt
 // the slow-query log. On error the stats still describe the work done
 // before the render stopped.
 func (k *KDV) RenderEpsStatsInCtx(ctx context.Context, res Resolution, eps float64, win Window) (*DensityMap, RenderStats, error) {
-	var st RenderStats
+	var st statsSink
 	start := time.Now()
 	dm, err := k.renderEpsIn(ctx, res, eps, win, &st, nil)
 	st.Elapsed = time.Since(start)
-	emitRenderSpans(ctx, "render.eps", start, st, err)
-	return dm, st, err
+	emitRenderSpans(ctx, "render.eps", start, &st, err)
+	return dm, st.RenderStats, err
 }
 
-func (k *KDV) renderEpsIn(ctx context.Context, res Resolution, eps float64, win Window, st *RenderStats, work *WorkMap) (*DensityMap, error) {
+func (k *KDV) renderEpsIn(ctx context.Context, res Resolution, eps float64, win Window, st *statsSink, work *WorkMap) (*DensityMap, error) {
 	if err := checkEps(eps); err != nil {
 		return nil, err
 	}
@@ -985,15 +1004,15 @@ func (k *KDV) RenderTauStats(res Resolution, tau float64) (*HotspotMap, RenderSt
 // RenderTauStatsInCtx is RenderTauInCtx additionally reporting the render's
 // work counters (see RenderEpsStatsInCtx).
 func (k *KDV) RenderTauStatsInCtx(ctx context.Context, res Resolution, tau float64, win Window) (*HotspotMap, RenderStats, error) {
-	var st RenderStats
+	var st statsSink
 	start := time.Now()
 	hm, err := k.renderTauIn(ctx, res, tau, win, &st, nil)
 	st.Elapsed = time.Since(start)
-	emitRenderSpans(ctx, "render.tau", start, st, err)
-	return hm, st, err
+	emitRenderSpans(ctx, "render.tau", start, &st, err)
+	return hm, st.RenderStats, err
 }
 
-func (k *KDV) renderTauIn(ctx context.Context, res Resolution, tau float64, win Window, st *RenderStats, work *WorkMap) (*HotspotMap, error) {
+func (k *KDV) renderTauIn(ctx context.Context, res Resolution, tau float64, win Window, st *statsSink, work *WorkMap) (*HotspotMap, error) {
 	if err := checkTau(tau); err != nil {
 		return nil, err
 	}
@@ -1028,8 +1047,14 @@ func (k *KDV) ThresholdStats(res Resolution, stride int, eps float64) (mu, sigma
 }
 
 // ThresholdStatsCtx is ThresholdStats under a context: cancellation is
-// polled between sample rows and returns ctx.Err().
+// polled between sample rows and returns ctx.Err(). The sample rows are
+// spread over the KDV's workers (see WithWorkers); each sample lands at its
+// fixed row-major index, so μ and σ are bit-identical for every worker
+// count.
 func (k *KDV) ThresholdStatsCtx(ctx context.Context, res Resolution, stride int, eps float64) (mu, sigma float64, err error) {
+	if err := checkEps(eps); err != nil {
+		return 0, 0, err
+	}
 	if stride < 1 {
 		stride = 1
 	}
@@ -1037,20 +1062,50 @@ func (k *KDV) ThresholdStatsCtx(ctx context.Context, res Resolution, stride int,
 	if err != nil {
 		return 0, 0, err
 	}
-	var samples []float64
-	q := make([]float64, 2)
-	for y := 0; y < res.H; y += stride {
-		if err := ctx.Err(); err != nil {
-			return 0, 0, err
-		}
-		for x := 0; x < res.W; x += stride {
-			g.Query(x, y, q)
-			v, err := k.Estimate(q, eps)
-			if err != nil {
-				return 0, 0, err
+	cols := (res.W + stride - 1) / stride
+	rows := (res.H + stride - 1) / stride
+	samples := make([]float64, rows*cols)
+	workers := min(k.cfg.workers, rows)
+	var (
+		cursor   atomic.Int64
+		wg       sync.WaitGroup
+		errOnce  sync.Once
+		firstErr error
+	)
+	for wkr := 0; wkr < workers; wkr++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// One pooled engine serves all of this worker's rows.
+			var e *engine.FlatTileEngine
+			if k.proto != nil {
+				var err error
+				if e, err = k.acquireEngine(); err != nil {
+					errOnce.Do(func() { firstErr = err })
+					return
+				}
+				defer k.releaseEngine(e)
 			}
-			samples = append(samples, v)
-		}
+			q := make([]float64, 2)
+			for ctx.Err() == nil {
+				r := int(cursor.Add(1)) - 1
+				if r >= rows {
+					return
+				}
+				row := samples[r*cols : (r+1)*cols]
+				for c := range row {
+					g.Query(c*stride, r*stride, q)
+					row[c] = k.estimate(e, q, eps)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return 0, 0, err
+	}
+	if firstErr != nil {
+		return 0, 0, firstErr
 	}
 	mu, sigma = stats.MuSigma(samples)
 	return mu, sigma, nil

@@ -3,6 +3,7 @@ package quad
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -149,6 +150,71 @@ func TestRenderTauCancelMidTileNoLeak(t *testing.T) {
 	}
 	if live := k.scratchLive.Load(); live != 0 {
 		t.Errorf("after cancelled render: %d render scratches still checked out", live)
+	}
+	waitGoroutines(t, base)
+}
+
+// TestConcurrentRendersCancelHalf is the serving pattern: several
+// multi-worker renders share one KDV's engine and scratch pools, and some
+// of their clients go away. Eight WithWorkers(4) renders run at once; half
+// are cancelled mid-tile. The cancelled ones must return context.Canceled
+// and no map, the survivors must match a lone render bit for bit, and
+// every pooled scratch must come back.
+func TestConcurrentRendersCancelHalf(t *testing.T) {
+	k := slowTiledKDV(t, 10000, 16, 4)
+	res := Resolution{W: 64, H: 64}
+	const eps = 0.001
+
+	start := time.Now()
+	ref, err := k.RenderEps(res, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := time.Since(start)
+	if full < 30*time.Millisecond {
+		t.Skipf("full render too fast to cancel mid-tile (%s)", full)
+	}
+
+	base := runtime.NumGoroutine()
+	type result struct {
+		dm  *DensityMap
+		err error
+	}
+	results := make([]result, 8)
+	done := make(chan int)
+	for i := range results {
+		ctx, cancel := context.WithCancel(context.Background())
+		if i%2 == 1 {
+			time.AfterFunc(full/20, cancel)
+		}
+		go func() {
+			defer cancel()
+			dm, err := k.RenderEpsCtx(ctx, res, eps)
+			results[i] = result{dm, err}
+			done <- i
+		}()
+	}
+	for range results {
+		<-done
+	}
+	for i, r := range results {
+		if i%2 == 1 {
+			if !errors.Is(r.err, context.Canceled) || r.dm != nil {
+				t.Errorf("render %d: err = %v, map = %v; want context.Canceled and no map", i, r.err, r.dm != nil)
+			}
+			continue
+		}
+		if r.err != nil {
+			t.Fatalf("render %d: %v", i, r.err)
+		}
+		for p := range ref.Values {
+			if math.Float64bits(r.dm.Values[p]) != math.Float64bits(ref.Values[p]) {
+				t.Fatalf("render %d differs from the lone render at pixel %d", i, p)
+			}
+		}
+	}
+	if live := k.scratchLive.Load(); live != 0 {
+		t.Errorf("%d render scratches still checked out", live)
 	}
 	waitGoroutines(t, base)
 }

@@ -68,15 +68,15 @@ func (k *KDV) RenderEpsSubInCtx(ctx context.Context, full Resolution, eps float6
 // RenderEpsSubStatsInCtx is RenderEpsSubInCtx additionally reporting the
 // render's work counters.
 func (k *KDV) RenderEpsSubStatsInCtx(ctx context.Context, full Resolution, eps float64, win Window, sub PixelRect) (*DensityMap, RenderStats, error) {
-	var st RenderStats
+	var st statsSink
 	start := time.Now()
 	dm, err := k.renderEpsSubIn(ctx, full, eps, win, sub, &st)
 	st.Elapsed = time.Since(start)
-	emitRenderSpans(ctx, "render.eps.sub", start, st, err)
-	return dm, st, err
+	emitRenderSpans(ctx, "render.eps.sub", start, &st, err)
+	return dm, st.RenderStats, err
 }
 
-func (k *KDV) renderEpsSubIn(ctx context.Context, full Resolution, eps float64, win Window, sub PixelRect, st *RenderStats) (*DensityMap, error) {
+func (k *KDV) renderEpsSubIn(ctx context.Context, full Resolution, eps float64, win Window, sub PixelRect, st *statsSink) (*DensityMap, error) {
 	if err := checkEps(eps); err != nil {
 		return nil, err
 	}

@@ -150,17 +150,17 @@ func (k *KDV) RenderEpsWorkMap(res Resolution, eps float64) (*DensityMap, *WorkM
 // path: it allocates three full-resolution rasters, so interactive serving
 // should keep it behind an explicit gate.
 func (k *KDV) RenderEpsWorkMapInCtx(ctx context.Context, res Resolution, eps float64, win Window) (*DensityMap, *WorkMap, RenderStats, error) {
-	var st RenderStats
+	var st statsSink
 	wm := newWorkMap(res)
 	start := time.Now()
 	dm, err := k.renderEpsIn(ctx, res, eps, win, &st, wm)
 	st.Elapsed = time.Since(start)
-	emitRenderSpans(ctx, "render.eps", start, st, err)
+	emitRenderSpans(ctx, "render.eps", start, &st, err)
 	if err != nil {
-		return nil, nil, st, err
+		return nil, nil, st.RenderStats, err
 	}
 	wm.WindowMin, wm.WindowMax = dm.WindowMin, dm.WindowMax
-	return dm, wm, st, nil
+	return dm, wm, st.RenderStats, nil
 }
 
 // RenderTauWorkMap is RenderTauStats additionally recording the per-pixel
@@ -172,15 +172,15 @@ func (k *KDV) RenderTauWorkMap(res Resolution, tau float64) (*HotspotMap, *WorkM
 // RenderTauWorkMapInCtx is RenderTauWorkMap under a context, over an
 // explicit window (see RenderTauInCtx).
 func (k *KDV) RenderTauWorkMapInCtx(ctx context.Context, res Resolution, tau float64, win Window) (*HotspotMap, *WorkMap, RenderStats, error) {
-	var st RenderStats
+	var st statsSink
 	wm := newWorkMap(res)
 	start := time.Now()
 	hm, err := k.renderTauIn(ctx, res, tau, win, &st, wm)
 	st.Elapsed = time.Since(start)
-	emitRenderSpans(ctx, "render.tau", start, st, err)
+	emitRenderSpans(ctx, "render.tau", start, &st, err)
 	if err != nil {
-		return nil, nil, st, err
+		return nil, nil, st.RenderStats, err
 	}
 	wm.WindowMin, wm.WindowMax = hm.WindowMin, hm.WindowMax
-	return hm, wm, st, nil
+	return hm, wm, st.RenderStats, nil
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+	"time"
 
 	"github.com/quadkdv/quad/internal/trace"
 )
@@ -183,6 +184,63 @@ func TestRenderStatsEmitsSpans(t *testing.T) {
 	// Untraced context: no spans, no panic.
 	if _, _, err := k.RenderEpsStatsInCtx(context.Background(), res, 0.05, Window{}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRenderSpansMultiWorker: with two workers SharedElapsed and the
+// workers' busy time are both sums over the workers, so the shared_frontier
+// child covers the wall window in the ratio SharedElapsed : busy−SharedElapsed,
+// not SharedElapsed of wall time, and the render span records how many
+// workers ran and their busy time.
+func TestRenderSpansMultiWorker(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	k, err := NewFromPoints(testCloud(rng, 3000), WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.New()
+	ctx := trace.NewContext(context.Background(), tr)
+	_, st, err := k.RenderEpsStatsInCtx(ctx, Resolution{W: 96, H: 64}, 0.01, Window{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName := map[string]*trace.Span{}
+	for _, s := range tr.Spans() {
+		byName[s.Name] = s
+	}
+	root, shared, pixels := byName["render.eps"], byName["shared_frontier"], byName["pixel_refinement"]
+	if root == nil || shared == nil || pixels == nil {
+		t.Fatalf("missing render spans: %v", byName)
+	}
+	attr := func(s *trace.Span, key string) float64 {
+		for _, a := range s.Attrs() {
+			if a.Key == key {
+				v, _ := a.Value().(float64)
+				return v
+			}
+		}
+		t.Fatalf("%s span has no %s attribute", s.Name, key)
+		return 0
+	}
+	if w := attr(root, "workers"); w != 2 {
+		t.Errorf("render span workers = %v, want 2", w)
+	}
+	busy, sharedCPU := attr(root, "cpu_ms"), attr(shared, "cpu_ms")
+	if want := float64(st.SharedElapsed) / float64(time.Millisecond); sharedCPU != want {
+		t.Errorf("shared_frontier cpu_ms = %v, want SharedElapsed %v", sharedCPU, want)
+	}
+	if sharedCPU <= 0 || sharedCPU > busy {
+		t.Fatalf("shared cpu_ms %v outside (0, busy %v]", sharedCPU, busy)
+	}
+	if root.Duration() != st.Elapsed {
+		t.Errorf("render span lasts %v, Elapsed is %v", root.Duration(), st.Elapsed)
+	}
+	want := time.Duration(float64(st.Elapsed) * sharedCPU / busy)
+	if d := shared.Duration() - want; d < -time.Microsecond || d > time.Microsecond {
+		t.Errorf("shared_frontier lasts %v, want Elapsed·shared/busy = %v", shared.Duration(), want)
+	}
+	if !shared.Start.Equal(root.Start) || !pixels.Start.Equal(shared.Finish) || !pixels.Finish.Equal(root.Finish) {
+		t.Error("shared_frontier and pixel_refinement do not tile the render span end to end")
 	}
 }
 
